@@ -60,12 +60,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 import re
 import threading
 import time
 from collections import OrderedDict
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler
+from http.client import HTTPConnection, RemoteDisconnected
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -77,9 +78,7 @@ from typing import (
     Tuple,
     Union,
 )
-from urllib.error import HTTPError
 from urllib.parse import parse_qs, quote, urlsplit
-from urllib.request import Request, urlopen
 
 from repro.ct.log import (
     BatchDigest,
@@ -95,7 +94,7 @@ from repro.ct.sct import SctEntryType, SignedCertificateTimestamp
 from repro.ct.storage import certificate_from_dict, certificate_to_dict
 from repro.obs.trace import SpanTracer
 from repro.obs.tracectx import TRACEPARENT_HEADER, TraceContext
-from repro.util.httpd import HttpServerHandle
+from repro.util.httpd import HttpServerHandle, SingleWriteHandler
 from repro.util.timeutil import from_timestamp_ms, timestamp_ms
 
 if TYPE_CHECKING:  # avoid a runtime import cycle through repro.dataset
@@ -108,6 +107,10 @@ DEFAULT_PAGE_LIMIT = 1024
 
 #: Bound on the per-log proof/page memo (entries, not bytes).
 DEFAULT_MEMO_ENTRIES = 4096
+
+#: Largest request body the server reads (an ``add-pre-chain`` chain
+#: is a few KiB); a larger ``Content-Length`` answers 413.
+MAX_BODY_BYTES = 1 << 20
 
 _SLUG_CHARS = re.compile(r"[^a-z0-9]+")
 
@@ -487,8 +490,10 @@ class LogServer:
 
     def stop(self) -> None:
         self._handle.stop()
-        # After the socket closes no new submissions can land; merge
-        # whatever is still pending so every issued SCT is honoured.
+        # The listener and every keep-alive connection are closed and
+        # the handlers have exited, so no new submission can land;
+        # merge whatever is still pending so every issued SCT is
+        # honoured.
         for sequencer in self._own_sequencers:
             sequencer.stop(drain=True)
 
@@ -911,29 +916,37 @@ class LogServer:
         }
 
 
-class _LogServerHandler(BaseHTTPRequestHandler):
+class _LogServerHandler(SingleWriteHandler):
     server_version = "repro-ct-log/1"
-    protocol_version = "HTTP/1.1"
 
-    def log_message(self, *args: object) -> None:  # middleware logs instead
-        pass
+    def _send_json(
+        self, status: int, payload: Mapping[str, object], close: bool = False
+    ) -> None:
+        data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        self.respond(status, "application/json", data, close=close)
 
     def _dispatch(self, method: str) -> None:
         owner: LogServer = self.server.owner  # type: ignore[attr-defined]
-        parts = urlsplit(self.path)
-        length = int(self.headers.get("Content-Length") or 0)
+        # A request whose framing is broken ends the connection: the
+        # bytes after it cannot be trusted to start the next request.
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            message = f"invalid Content-Length {raw_length!r}"
+            self._send_json(400, {"error": message, "code": 400}, close=True)
+            return
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            message = f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            self._send_json(413, {"error": message, "code": 413}, close=True)
+            return
         body = self.rfile.read(length) if length else b""
+        parts = urlsplit(self.path)
         client = self.headers.get("X-Repro-Client", "") or ""
         traceparent = self.headers.get(TRACEPARENT_HEADER, "") or ""
         status, payload, _ = owner.handle_request(
             method, parts.path, parts.query, body, client, traceparent
         )
-        data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        self._send_json(status, payload)
 
     def do_GET(self) -> None:
         self._dispatch("GET")
@@ -943,6 +956,102 @@ class _LogServerHandler(BaseHTTPRequestHandler):
 
 
 # -- client side --------------------------------------------------------------
+
+
+#: Per-thread slot holding that thread's :class:`_ThreadConnection`.
+_thread_conn = threading.local()
+
+#: Errors of a connection the server closed while it sat idle.
+_STALE_CONNECTION = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+class _ThreadConnection:
+    """One thread's keep-alive connection to one ``host:port``.
+
+    It lives in :data:`_thread_conn`, whose per-thread values are
+    released when their thread exits; ``__del__`` then closes the
+    socket rather than leaving it to the garbage collector.
+    """
+
+    def __init__(self, netloc: str, timeout: float) -> None:
+        self.pid = os.getpid()
+        self.netloc = netloc
+        self.conn = HTTPConnection(netloc, timeout=timeout)
+
+    def __del__(self) -> None:
+        # After a fork this closes only the child's copy of the fd.
+        self.conn.close()
+
+
+def _drop_connection() -> None:
+    slot = getattr(_thread_conn, "slot", None)
+    _thread_conn.slot = None
+    if slot is not None:
+        slot.conn.close()
+
+
+def _connection(netloc: str, timeout: float) -> HTTPConnection:
+    """This thread's connection to ``netloc``, opened on first use.
+
+    One slot per thread: a call to another target, or the first call
+    in a forked child (the parent still owns the inherited socket),
+    closes the old connection and starts a new one.
+    """
+    slot = getattr(_thread_conn, "slot", None)
+    if slot is not None and slot.pid == os.getpid() and slot.netloc == netloc:
+        conn = slot.conn
+        if conn.timeout != timeout:  # another client's timeout
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+        return conn
+    _drop_connection()
+    slot = _thread_conn.slot = _ThreadConnection(netloc, timeout)
+    return slot.conn
+
+
+def _exchange(
+    netloc: str,
+    timeout: float,
+    method: str,
+    path: str,
+    body: Optional[bytes],
+    headers: Dict[str, str],
+) -> Tuple[int, bytes]:
+    """Send one request on this thread's connection; ``(status, body)``.
+
+    A *reused* connection the server has since closed (idle timeout,
+    restart) fails before any response byte arrives; only then is the
+    request sent once more, on a fresh connection.  A timeout is never
+    retried.  Resending ``add-pre-chain`` is safe: the log dedups a
+    resubmitted precertificate to the SCT it already issued.  Any
+    failure, and any response that announces ``Connection: close``,
+    retires the connection.
+    """
+    retry = True
+    while True:
+        conn = _connection(netloc, timeout)
+        reused = conn.sock is not None
+        responded = False
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            response = conn.getresponse()
+            responded = True
+            raw = response.read()
+        except BaseException as exc:
+            _drop_connection()
+            if (
+                retry
+                and reused
+                and not responded
+                and isinstance(exc, _STALE_CONNECTION)
+            ):
+                retry = False
+                continue
+            raise
+        if response.will_close:
+            _drop_connection()
+        return response.status, raw
 
 
 class LogClientError(RuntimeError):
@@ -969,6 +1078,11 @@ class LogClient:
     ``http.<endpoint>`` client span whose context is injected as the
     ``X-Repro-Traceparent`` header, so the server's span joins this
     client's trace.  Tracing off changes nothing on the wire.
+
+    Connections are HTTP/1.1 keep-alive and belong to the calling
+    *thread*, not the client: each thread holds at most one, to the
+    ``host:port`` it last called, shared by every client it drives
+    (see :func:`_exchange`).
     """
 
     def __init__(
@@ -980,6 +1094,11 @@ class LogClient:
         tracer: Optional[SpanTracer] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.netloc:
+            raise ValueError(f"LogClient needs an http:// URL, got {base_url!r}")
+        self._netloc = parts.netloc
+        self._path = parts.path
         self.timeout = timeout
         self.client_id = client_id
         self.tracer = tracer
@@ -1014,14 +1133,14 @@ class LogClient:
         post_body: Optional[Mapping[str, object]] = None,
         traceparent: str = "",
     ) -> Dict[str, object]:
-        url = f"{self.base_url}/ct/v1/{endpoint}"
+        path = f"{self._path}/ct/v1/{endpoint}"
         if params:
             query = "&".join(
                 f"{key}={_quote(str(value))}" for key, value in params.items()
             )
-            url = f"{url}?{query}"
+            path = f"{path}?{query}"
         data = None
-        headers = {}
+        headers: Dict[str, str] = {}
         if post_body is not None:
             data = json.dumps(post_body).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -1029,22 +1148,23 @@ class LogClient:
             headers["X-Repro-Client"] = self.client_id
         if traceparent:
             headers[TRACEPARENT_HEADER] = traceparent
-        request = Request(url, data=data, headers=headers)
         self.requests += 1
+        status, raw = _exchange(
+            self._netloc,
+            self.timeout,
+            "GET" if data is None else "POST",
+            path,
+            data,
+            headers,
+        )
+        self.bytes_received += len(raw)
+        if 200 <= status < 300:
+            return json.loads(raw.decode("utf-8"))
         try:
-            with urlopen(request, timeout=self.timeout) as response:
-                raw = response.read()
-                self.bytes_received += len(raw)
-                return json.loads(raw.decode("utf-8"))
-        except HTTPError as exc:
-            raw = b""
-            try:
-                raw = exc.read()
-                body = json.loads(raw.decode("utf-8"))
-            except Exception:
-                body = {"error": f"HTTP {exc.code}"}
-            self.bytes_received += len(raw)
-            raise LogClientError(exc.code, body) from None
+            body = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            body = {"error": f"HTTP {status}"}
+        raise LogClientError(status, body)
 
     # -- RFC 6962 calls ------------------------------------------------------
 
@@ -1204,6 +1324,7 @@ def _quote(value: str) -> str:
 
 __all__ = [
     "DEFAULT_PAGE_LIMIT",
+    "MAX_BODY_BYTES",
     "HarvestMismatchError",
     "HarvestedLog",
     "HttpApiError",

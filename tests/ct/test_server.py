@@ -1,19 +1,30 @@
-"""Unit tests for the RFC 6962 HTTP front end (no sockets).
+"""Unit tests for the RFC 6962 HTTP front end.
 
-Everything here drives :meth:`repro.ct.server.LogServer.handle_request`
+Most tests drive :meth:`repro.ct.server.LogServer.handle_request`
 directly — routing, parameter validation, error mapping, memoization,
 and the request-logging middleware — so the boundary behaviour is
-pinned without binding a port.  The live-socket behaviour (real HTTP,
-concurrency, harvest parity) lives in
+pinned without binding a port.  The last section pins the connection
+model on real sockets: one keep-alive connection per client thread,
+the single retry on a stale connection, strict ``Content-Length``
+framing, and ``stop()`` closing live connections.  The rest of the
+live-socket behaviour (concurrency, harvest parity) lives in
 ``tests/integration/test_log_server_live.py``.
 """
 
 import base64
+import itertools
 import json
+import multiprocessing
+import socket
+import threading
+import time
 from datetime import timedelta
+from http.client import HTTPConnection
+from urllib.parse import urlsplit
 
 import pytest
 
+from repro.ct import server as server_mod
 from repro.ct.log import CTLog, SignedTreeHead
 from repro.ct.merkle import (
     EMPTY_TREE_HASH,
@@ -21,7 +32,10 @@ from repro.ct.merkle import (
     verify_consistency_proof,
     verify_inclusion_proof,
 )
+from repro.ct.sequencer import LogSequencer
 from repro.ct.server import (
+    LogClient,
+    LogClientError,
     LogServer,
     entry_from_wire,
     entry_to_wire,
@@ -624,3 +638,284 @@ def test_middleware_records_metrics_and_events():
     statuses = [record["status"] for record in events.tail(10)]
     assert statuses == [200, 400, 404]
     assert events.tail(10)[0]["log"] == "unit-log"
+
+
+# -- connection model (real sockets) -----------------------------------------
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Counts ``HTTPConnection.connect`` calls, from a clean thread slot."""
+    server_mod._drop_connection()
+    count = [0]
+    real = HTTPConnection.connect
+
+    def counting(self):
+        count[0] += 1
+        real(self)
+
+    monkeypatch.setattr(HTTPConnection, "connect", counting)
+    yield count
+    server_mod._drop_connection()
+
+
+def open_connections(server):
+    """Connections the server has accepted and not yet closed."""
+    httpd = server._handle._httpd
+    with httpd._conns_lock:
+        return len(httpd._conns)
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def test_client_needs_an_http_url():
+    for url in ("https://127.0.0.1:1", "127.0.0.1:1", "http:///path"):
+        with pytest.raises(ValueError):
+            LogClient(url)
+
+
+def test_clients_on_one_thread_share_one_connection(connects):
+    with LogServer(make_log(entries=3), clock=lambda: NOW) as server:
+        clients = [
+            LogClient(server.url, client_id=f"monitor-{i}") for i in range(12)
+        ]
+        for client in clients:
+            assert client.get_sth()["tree_size"] == 3
+        assert connects[0] == 1
+        assert open_connections(server) == 1
+        assert [client.requests for client in clients] == [1] * 12
+
+
+def test_shared_connection_takes_each_clients_timeout(connects):
+    with LogServer(make_log(entries=1), clock=lambda: NOW) as server:
+        for timeout in (10.0, 2.5, 10.0):
+            LogClient(server.url, timeout=timeout).get_sth()
+            sock = server_mod._thread_conn.slot.conn.sock
+            assert sock.gettimeout() == timeout
+        assert connects[0] == 1
+
+
+def test_calls_on_one_thread_cost_one_connect(connects):
+    log = make_log(entries=6)
+    with LogServer(log, clock=lambda: NOW) as server:
+        client = LogClient(server.url)
+        for _ in range(5):
+            client.get_sth()
+            assert len(client.get_entries(0, 5)) == 6
+            client.get_proof_by_hash(leaf_hash(log.entries[2].leaf_input), 6)
+            client.get_sth_consistency(2, 6)
+        assert client.requests == 20
+        assert connects[0] == 1
+
+
+def _child_call(url, results):
+    try:
+        LogClient(url).get_sth()
+        slot = server_mod._thread_conn.slot
+        results.send((slot.pid, slot.conn.sock.getsockname(), None))
+    except Exception as exc:  # reported to the parent
+        results.send((None, None, repr(exc)))
+
+
+def test_forked_child_never_reuses_parent_connection(connects):
+    fork = multiprocessing.get_context("fork")
+    with LogServer(make_log(entries=2), clock=lambda: NOW) as server:
+        client = LogClient(server.url)
+        client.get_sth()
+        parent_conn = server_mod._thread_conn.slot.conn
+        parent_addr = parent_conn.sock.getsockname()
+        receiver, sender = fork.Pipe(duplex=False)
+        child = fork.Process(target=_child_call, args=(server.url, sender))
+        child.start()
+        assert receiver.poll(10), "child sent no result"
+        child_pid, child_addr, error = receiver.recv()
+        child.join(10)
+        assert not child.is_alive()
+        assert error is None
+        assert child_pid == child.pid
+        assert child_addr != parent_addr
+        # The parent's connection is untouched by the child.
+        client.get_sth()
+        assert server_mod._thread_conn.slot.conn is parent_conn
+        assert parent_conn.sock.getsockname() == parent_addr
+        assert connects[0] == 1
+        wait_until(lambda: open_connections(server) == 1)
+
+
+def test_idle_connection_closed_by_server_is_replaced(connects, monkeypatch):
+    monkeypatch.setattr(server_mod._LogServerHandler, "timeout", 0.2)
+    with LogServer(make_log(entries=2), clock=lambda: NOW) as server:
+        client = LogClient(server.url)
+        client.get_sth()
+        wait_until(lambda: open_connections(server) == 0)
+        assert client.get_sth()["tree_size"] == 2
+        assert client.requests == 2
+        assert connects[0] == 2
+
+
+@pytest.mark.parametrize("sequenced", [False, True])
+def test_retried_add_pre_chain_dedups_to_the_same_sct(
+    connects, monkeypatch, sequenced
+):
+    """The server signs, then drops the connection before answering."""
+    log = make_log(entries=1)
+    mount = LogSequencer(log) if sequenced else log
+    signed = []
+    real = server_mod._LogServerHandler._dispatch
+
+    def drop_first_post(self, method):
+        if method == "POST" and not signed:
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            parts = urlsplit(self.path)
+            signed.append(
+                self.server.owner.handle_request(
+                    method, parts.path, parts.query, body
+                )
+            )
+            self.close_connection = True  # vanish without a response
+            return
+        real(self, method)
+
+    monkeypatch.setattr(
+        server_mod._LogServerHandler, "_dispatch", drop_first_post
+    )
+    (precert,), ikh = make_precerts(1, f"retry-{sequenced}")
+    with LogServer(mount, clock=lambda: NOW) as server:
+        client = LogClient(server.url)
+        client.get_sth()  # the submission rides a reused connection
+        sct = client.add_pre_chain(precert, ikh)
+        if sequenced:
+            mount.drain()
+    status, first, _ = signed[0]
+    assert status == 200
+    assert _b64(sct.signature) == first["signature"]
+    assert sct.timestamp_ms == first["timestamp"]
+    assert log.size == 2
+    assert client.requests == 2
+    assert connects[0] == 2
+
+
+PRECERTS, IKH = make_precerts(2, "keepalive-429")
+
+
+@pytest.mark.parametrize(
+    "call, status",
+    [
+        (lambda c: c.get_proof_by_hash(b"\0" * 32, 2), 404),
+        (lambda c: c.get_entries(9, 2), 400),
+        (lambda c: [c.add_pre_chain(p, IKH) for p in PRECERTS], 429),
+    ],
+    ids=["404", "400", "429"],
+)
+def test_error_answers_keep_the_connection_usable(connects, call, status):
+    log = make_log(entries=2, capacity_per_day=3, strict_capacity=True)
+    with LogServer(log, clock=lambda: NOW) as server:
+        client = LogClient(server.url)
+        client.get_sth()
+        with pytest.raises(LogClientError) as excinfo:
+            call(client)
+        assert excinfo.value.status == status
+        assert excinfo.value.body["code"] == status
+        assert client.get_sth()["tree_size"] == log.size
+        assert connects[0] == 1
+
+
+def _raw_exchange(server, request):
+    """Send raw request bytes; everything the server sends before closing."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(request)
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return raw
+            raw += chunk
+
+
+def _raw_post(server, content_length):
+    """POST with a raw ``Content-Length``; (status, headers, JSON body)."""
+    raw = _raw_exchange(
+        server,
+        b"POST /ct/v1/add-pre-chain HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: " + content_length.encode() + b"\r\n\r\n",
+    )
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "content_length, status",
+    [("abc", 400), ("-1", 400), ("99999999999", 413)],
+)
+def test_bad_content_length_gets_json_and_a_closed_connection(
+    content_length, status
+):
+    with LogServer(make_log(entries=2), clock=lambda: NOW) as server:
+        got, headers, body = _raw_post(server, content_length)
+        assert got == status
+        assert body["code"] == status and body["error"]
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        # The server stays live.
+        assert LogClient(server.url).get_sth()["tree_size"] == 2
+
+
+def test_stop_closes_live_connections_and_no_sct_outlives_the_drain(connects):
+    log = make_log(entries=1)
+    signs = []
+    lock = threading.Lock()
+    real_sign = log.sign_sct
+
+    def counting_sign(*args, **kwargs):
+        with lock:
+            signs.append(1)
+        return real_sign(*args, **kwargs)
+
+    log.sign_sct = counting_sign
+    precerts, ikh = make_precerts(40, "stop-race")
+    server = LogServer(log, clock=lambda: NOW, merge_interval=3600.0).start()
+    received = []
+    failure = []
+
+    def submit():
+        # Resubmissions after the first pass dedup to issued SCTs.
+        client = LogClient(server.url)
+        try:
+            for precert in itertools.cycle(precerts):
+                received.append(client.add_pre_chain(precert, ikh))
+        except OSError as exc:
+            failure.append(exc)
+
+    submitter = threading.Thread(target=submit)
+    submitter.start()
+    wait_until(lambda: len(received) >= 3)
+    # stop() must not wait on a client that keeps its connection busy.
+    stopper = threading.Thread(target=server.stop)
+    stopper.start()
+    stopper.join(10)
+    assert not stopper.is_alive()
+    with lock:
+        signed_at_stop = len(signs)
+    submitter.join(10)
+    assert not submitter.is_alive()
+    # The submitter's reused connection got no answer after stop().
+    assert failure
+    assert len(signs) == signed_at_stop
+    # Every SCT the log signed was merged by the drain.
+    assert log.size == 1 + signed_at_stop
+    assert len({sct.signature for sct in received}) <= signed_at_stop
+    with pytest.raises(OSError):
+        LogClient(server.url).get_sth()
+
+
+def test_http09_request_gets_the_bare_json_body():
+    with LogServer(make_log(entries=2), clock=lambda: NOW) as server:
+        raw = _raw_exchange(server, b"GET /ct/v1/get-sth\r\n\r\n")
+    assert json.loads(raw)["tree_size"] == 2
