@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.dnscore.name import is_valid_fqdn, normalize_name
+from repro.dnscore.name import is_valid_normalized_fqdn, normalize_name
 from repro.dnscore.psl import PublicSuffixList, default_psl
 from repro.x509.certificate import Certificate
 
@@ -95,7 +95,7 @@ class NameFold:
 
     Holds the working PSL next to the accumulating
     :class:`LeakagePartial` so record-at-a-time consumers (the fused
-    corpus traversal) share the exact validate/dedup/split code path
+    corpus traversal) share the exact dedup/validate/split code path
     with the chunk-at-a-time map step.  Ship only :attr:`partial`
     across process boundaries — the PSL stays local.
     """
@@ -111,14 +111,15 @@ class NameFold:
         partial = self.partial
         partial.total_names_seen += 1
         name = normalize_name(raw)
-        wildcard = name.startswith("*.")
-        candidate = name[2:] if wildcard else name
-        if not is_valid_fqdn(candidate):
-            partial.invalid_names += 1
-            return
+        candidate = name[2:] if name.startswith("*.") else name
+        # Only valid names enter ``candidates``, so a hit skips the
+        # validation (and the PSL walk) with the outcome unchanged.
         if candidate in partial.candidates:
             return
-        labels, _registrable, suffix = self.psl.split(candidate)
+        if not is_valid_normalized_fqdn(candidate):
+            partial.invalid_names += 1
+            return
+        labels, _registrable, suffix = self.psl.split_normalized(candidate.split("."))
         partial.candidates[candidate] = (tuple(labels), suffix)
 
 
@@ -126,7 +127,7 @@ def map_name_chunk(
     names: Iterable[str],
     psl: Optional[PublicSuffixList] = None,
 ) -> LeakagePartial:
-    """The map step: validate, deduplicate, and PSL-split one chunk."""
+    """The map step: deduplicate, validate, and PSL-split one chunk."""
     fold = NameFold(psl)
     for raw in names:
         fold.add(raw)

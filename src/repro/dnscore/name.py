@@ -17,8 +17,11 @@ from typing import List, Optional
 MAX_NAME_LENGTH = 253
 MAX_LABEL_LENGTH = 63
 
-_LABEL_RE = re.compile(r"^(?!-)[a-z0-9-]{1,63}(?<!-)$")
-_TLD_RE = re.compile(r"^[a-z][a-z0-9-]*(?<!-)$")
+_LABEL = rf"(?!-)[a-z0-9-]{{1,{MAX_LABEL_LENGTH}}}(?<!-)"
+_LABEL_RE = re.compile(_LABEL)
+#: Two or more labels, the TLD starting with a letter.  Matched with
+#: ``fullmatch``: a ``$`` anchor would accept a label ending in "\n".
+_FQDN_RE = re.compile(rf"(?:{_LABEL}\.)+[a-z][a-z0-9-]{{0,{MAX_LABEL_LENGTH - 1}}}(?<!-)")
 
 
 def normalize_name(name: str) -> str:
@@ -37,7 +40,12 @@ def split_labels(name: str) -> List[str]:
 
 def is_valid_label(label: str) -> bool:
     """Check one hostname label (LDH rule, length 1..63)."""
-    return bool(_LABEL_RE.match(label))
+    return _LABEL_RE.fullmatch(label) is not None
+
+
+def is_valid_normalized_fqdn(name: str) -> bool:
+    """:func:`is_valid_fqdn` of a name already normalized, without a wildcard."""
+    return len(name) <= MAX_NAME_LENGTH and _FQDN_RE.fullmatch(name) is not None
 
 
 def is_valid_fqdn(name: str, *, allow_wildcard: bool = False) -> bool:
@@ -53,21 +61,9 @@ def is_valid_fqdn(name: str, *, allow_wildcard: bool = False) -> bool:
     * a single leading ``*`` label is accepted when ``allow_wildcard``.
     """
     normalized = normalize_name(name)
-    if not normalized or len(normalized) > MAX_NAME_LENGTH:
-        return False
-    labels = normalized.split(".")
-    if len(labels) < 2:
-        return False
-    if labels[0] == "*":
-        if not allow_wildcard:
-            return False
-        labels = labels[1:]
-        if len(labels) < 2:
-            return False
-    for label in labels:
-        if not is_valid_label(label):
-            return False
-    return bool(_TLD_RE.match(labels[-1]))
+    if allow_wildcard and normalized.startswith("*.") and len(normalized) <= MAX_NAME_LENGTH:
+        normalized = normalized[2:]
+    return is_valid_normalized_fqdn(normalized)
 
 
 def parent_name(name: str) -> Optional[str]:

@@ -50,6 +50,8 @@ DEFAULT_RULES: Tuple[str, ...] = (
     "*.bd", "*.er", "*.fk",
 )
 
+Split = Tuple[List[str], Optional[str], Optional[str]]
+
 
 class PublicSuffixList:
     """PSL matcher implementing the publicsuffix.org algorithm."""
@@ -59,6 +61,7 @@ class PublicSuffixList:
         self._exact: Set[str] = set()
         self._wildcards: Set[str] = set()   # "ck" for "*.ck"
         self._exceptions: Set[str] = set()  # "www.ck" for "!www.ck"
+        self._depth = 1  # most labels any rule can match
         for rule in list(rules if rules is not None else DEFAULT_RULES) + list(extra_rules):
             self.add_rule(rule)
 
@@ -66,14 +69,50 @@ class PublicSuffixList:
         rule = rule.strip().lower()
         if not rule or rule.startswith("//"):
             return
+        depth = rule.count(".") + 1
         if rule.startswith("!"):
             self._exceptions.add(rule[1:])
         elif rule.startswith("*."):
             self._wildcards.add(rule[2:])
         else:
             self._exact.add(rule)
+        self._depth = max(self._depth, depth)
 
     # -- core algorithm ------------------------------------------------------
+
+    def _suffix(self, labels: List[str]) -> Tuple[int, str]:
+        """``(label count, text)`` of the public suffix of non-empty normalized ``labels``.
+
+        One right-to-left walk, a label at a time up to the longest rule: the longest exception
+        wins (minus its leftmost label), else the longest exact or wildcard match, else the TLD.
+        """
+        exact, wildcards, exceptions = self._exact, self._wildcards, self._exceptions
+        candidate, parent = labels[-1], None
+        best, exception = (1, candidate), None
+        for count in range(1, min(len(labels), self._depth) + 1):
+            if count > 1:
+                parent, candidate = candidate, f"{labels[-count]}.{candidate}"
+            if candidate in exceptions:
+                exception = (count - 1, parent) if parent is not None else (1, candidate)
+            elif candidate in exact or parent in wildcards:
+                best = (count, candidate)
+        return exception or best
+
+    def split_normalized(self, labels: List[str]) -> Split:
+        """:meth:`split` for a name already split by ``split_labels``."""
+        if not labels:
+            return [], None, None
+        count, suffix = self._suffix(labels)
+        owner = len(labels) - count - 1
+        # An empty leftmost label (".com", ".a.com") is no owner and no subdomain label.
+        if owner < 0 or (owner == 0 and not labels[0]):
+            return [], None, suffix
+        subdomain = labels[:owner]
+        return (subdomain if subdomain != [""] else []), f"{labels[owner]}.{suffix}", suffix
+
+    def split(self, name: str) -> Split:
+        """Return ``(subdomain_labels, registrable_domain, public_suffix)``; lookups project it."""
+        return self.split_normalized(split_labels(name))
 
     def public_suffix(self, name: str) -> Optional[str]:
         """The longest matching public suffix of ``name``.
@@ -81,37 +120,11 @@ class PublicSuffixList:
         Follows the PSL algorithm: exception rules beat wildcard rules;
         if no rule matches, the TLD (rightmost label) is the suffix.
         """
-        labels = split_labels(name)
-        if not labels:
-            return None
-        best: Optional[List[str]] = None
-        for start in range(len(labels)):
-            candidate = labels[start:]
-            joined = ".".join(candidate)
-            if joined in self._exceptions:
-                # The exception's suffix is the rule with one label removed.
-                return ".".join(candidate[1:]) if len(candidate) > 1 else joined
-            if joined in self._exact:
-                if best is None or len(candidate) > len(best):
-                    best = candidate
-            if len(candidate) >= 2 and ".".join(candidate[1:]) in self._wildcards:
-                if best is None or len(candidate) > len(best):
-                    best = candidate
-        if best is not None:
-            return ".".join(best)
-        return labels[-1]
+        return self.split(name)[2]
 
     def registrable_domain(self, name: str) -> Optional[str]:
         """Public suffix plus one label (the paper's *base domain*)."""
-        normalized = normalize_name(name)
-        suffix = self.public_suffix(normalized)
-        if suffix is None or normalized == suffix:
-            return None
-        remainder = normalized[: -(len(suffix) + 1)]
-        if not remainder:
-            return None
-        owner = remainder.split(".")[-1]
-        return f"{owner}.{suffix}"
+        return self.split(name)[1]
 
     def subdomain_labels(self, name: str) -> List[str]:
         """All labels under the registrable domain, left to right.
@@ -119,20 +132,7 @@ class PublicSuffixList:
         ``www.mail.example.co.uk`` -> ``["www", "mail"]``; an empty list
         when the name *is* a registrable domain or public suffix.
         """
-        normalized = normalize_name(name)
-        registrable = self.registrable_domain(normalized)
-        if registrable is None or normalized == registrable:
-            return []
-        prefix = normalized[: -(len(registrable) + 1)]
-        return prefix.split(".") if prefix else []
-
-    def split(self, name: str) -> Tuple[List[str], Optional[str], Optional[str]]:
-        """Return ``(subdomain_labels, registrable_domain, public_suffix)``."""
-        return (
-            self.subdomain_labels(name),
-            self.registrable_domain(name),
-            self.public_suffix(name),
-        )
+        return self.split(name)[0]
 
     def is_public_suffix(self, name: str) -> bool:
         normalized = normalize_name(name)

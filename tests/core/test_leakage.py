@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import leakage
+from repro.dnscore.name import is_valid_fqdn, normalize_name
+from repro.dnscore.psl import PublicSuffixList, default_psl
 from repro.util.timeutil import utc_datetime
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
 
@@ -17,10 +19,12 @@ def test_counts_each_fqdn_once():
 
 def test_invalid_names_filtered():
     stats = leakage.analyze_names(
-        ["under_score.example.com", "-x.example.com", "localhost", "ok.example.com"]
+        ["under_score.example.com", "-x.example.com", "localhost", "ab\n.example.com",
+         "ok.example.com"]
     )
-    assert stats.invalid_names == 3
+    assert stats.invalid_names == 4
     assert stats.unique_fqdns == 1
+    assert "ab\n" not in stats.label_counts
 
 
 def test_wildcard_label_not_counted():
@@ -129,3 +133,83 @@ def test_leakage_partial_codec_round_trip():
     )
     assert decoded == partial
     assert list(decoded.candidates) == list(partial.candidates)
+
+
+@pytest.mark.parametrize("name", ["*. www.x.com", "www.x.com ."])
+def test_fold_validates_the_name_it_keys(name):
+    # Whitespace left after normalizing once is not re-normalized away:
+    # the fold agrees with is_valid_fqdn on the raw name.
+    assert not is_valid_fqdn(name, allow_wildcard=True)
+    stats = leakage.analyze_names([name])
+    assert (stats.invalid_names, stats.unique_fqdns) == (1, 0)
+
+
+#: Repeats, repeated invalid names, wildcards, mixed case, trailing dots.
+PARITY_STREAM = [
+    "www.a.com", "WWW.A.COM", "www.a.com.", "*.a.com", "a.com", "*.A.com.",
+    "bad_label.c.net", "bad_label.c.net", "-x.c.net", "localhost", "localhost",
+    "git.d.tech", "Git.D.Tech.", "*.www.a.com", "shop.e.co.uk", "co.uk",
+    "x.y.anything.ck", "www.ck", "a.www.ck", "*.*.a.com", "*.a.com",
+    "mail.internal.example.gov.uk", "123.example.org", "example.123",
+    "www.a.com", "git.d.tech", "bad_label.c.net",
+]
+
+
+def _validate_then_dedup(names, psl):
+    """The fold's previous order: validate every name, then dedup."""
+    partial = leakage.LeakagePartial()
+    for raw in names:
+        partial.total_names_seen += 1
+        name = normalize_name(raw)
+        candidate = name[2:] if name.startswith("*.") else name
+        if not is_valid_fqdn(candidate):
+            partial.invalid_names += 1
+            continue
+        if candidate in partial.candidates:
+            continue
+        labels, _registrable, suffix = psl.split(candidate)
+        partial.candidates[candidate] = (tuple(labels), suffix)
+    return partial
+
+
+def test_name_fold_matches_validate_then_dedup():
+    psl = default_psl()
+    expected = _validate_then_dedup(PARITY_STREAM, psl)
+    folded = leakage.map_name_chunk(PARITY_STREAM, psl)
+    assert folded == expected
+    assert list(folded.candidates) == list(expected.candidates)
+    assert (folded.total_names_seen, folded.invalid_names) == (27, 8)
+    serial = leakage.reduce_name_partials([expected])
+    assert leakage.reduce_name_partials([folded]) == serial
+    shards = [
+        leakage.map_name_chunk(PARITY_STREAM[i : i + 9], psl)
+        for i in range(0, len(PARITY_STREAM), 9)
+    ]
+    assert len(shards) == 3
+    sharded = leakage.reduce_name_partials(shards)
+    assert sharded == serial
+    assert sharded.top_labels(20) == serial.top_labels(20)
+
+
+def test_fold_work_is_one_validation_and_one_psl_walk_per_unique_name(monkeypatch):
+    calls = {"validate": 0, "suffix": 0}
+    validate = leakage.is_valid_normalized_fqdn
+    suffix = PublicSuffixList._suffix
+
+    def counting_validate(name):
+        calls["validate"] += 1
+        return validate(name)
+
+    def counting_suffix(self, labels):
+        calls["suffix"] += 1
+        return suffix(self, labels)
+
+    monkeypatch.setattr(leakage, "is_valid_normalized_fqdn", counting_validate)
+    monkeypatch.setattr(PublicSuffixList, "_suffix", counting_suffix)
+    partial = leakage.map_name_chunk(PARITY_STREAM * 3)
+    unique = len(partial.candidates)
+    assert unique == 10
+    # Each unique candidate is validated and PSL-walked once; only the
+    # invalid names, never stored, are validated on every occurrence.
+    assert calls["suffix"] == unique
+    assert calls["validate"] == unique + partial.invalid_names

@@ -6,6 +6,7 @@ from repro.dnscore.name import (
     is_subdomain_of,
     is_valid_fqdn,
     is_valid_label,
+    is_valid_normalized_fqdn,
     normalize_name,
     parent_name,
     random_control_label,
@@ -23,6 +24,7 @@ class TestValidity:
         "123start.example.com",  # RFC 1123 allows leading digits
         "EXAMPLE.ORG",
         "example.org.",
+        " example.org\n",                 # surrounding whitespace is stripped
     ])
     def test_valid(self, name):
         assert is_valid_fqdn(name)
@@ -40,6 +42,8 @@ class TestValidity:
         ("a" * 64) + ".example.org",      # label too long
         "a." * 130 + "org",               # name too long
         "*.example.org",                  # wildcard without allow flag
+        "ab\n.example.org",               # newline ending a label
+        "example.org\n.",                 # newline ending the TLD
     ])
     def test_invalid(self, name):
         assert not is_valid_fqdn(name)
@@ -48,6 +52,13 @@ class TestValidity:
         assert is_valid_fqdn("*.example.org", allow_wildcard=True)
         assert not is_valid_fqdn("*.org", allow_wildcard=True)
         assert not is_valid_fqdn("a.*.example.org", allow_wildcard=True)
+        assert not is_valid_fqdn("*.ab\n.example.org", allow_wildcard=True)
+
+    def test_wildcard_counts_toward_max_length(self):
+        body = ".".join(["a" * 49] * 5) + ".oo"  # 252 characters
+        assert is_valid_fqdn(body)
+        assert not is_valid_fqdn("*." + body, allow_wildcard=True)
+        assert is_valid_fqdn("*." + body[2:], allow_wildcard=True)
 
     def test_max_length_boundary(self):
         # 253 characters exactly: valid.
@@ -72,6 +83,18 @@ def test_is_valid_label():
     assert not is_valid_label("")
     assert not is_valid_label("a" * 64)
     assert not is_valid_label("-x")
+    assert not is_valid_label("ab\n")
+
+
+def test_is_valid_normalized_fqdn_takes_the_name_as_given():
+    assert is_valid_normalized_fqdn("www.example.org")
+    # No normalization: case, a root dot, whitespace and a wildcard
+    # label all fail, where is_valid_fqdn would normalize or allow them.
+    assert not is_valid_normalized_fqdn("WWW.example.org")
+    assert not is_valid_normalized_fqdn("www.example.org.")
+    assert not is_valid_normalized_fqdn(" www.example.org")
+    assert not is_valid_normalized_fqdn("*.example.org")
+    assert not is_valid_normalized_fqdn("a." * 126 + "org")  # 255 characters
 
 
 def test_parent_name():

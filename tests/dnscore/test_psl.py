@@ -72,6 +72,12 @@ def test_split_returns_consistent_triple(psl):
     assert f"{'.'.join(labels)}.{registrable}" == "mail.internal.example.gov.uk"
 
 
+def test_split_of_an_empty_leftmost_label(psl):
+    assert psl.split(".com") == ([], None, "com")
+    assert psl.split(".example.com") == ([], "example.com", "com")
+    assert psl.split(".www.example.com") == (["", "www"], "example.com", "com")
+
+
 def test_is_public_suffix(psl):
     assert psl.is_public_suffix("com")
     assert psl.is_public_suffix("co.uk")
